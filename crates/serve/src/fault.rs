@@ -1,8 +1,9 @@
 //! Deterministic fault injection for chaos testing the server.
 //!
 //! A [`FaultInjector`] is handed to [`ServerConfig`](crate::ServerConfig)
-//! by tests; the worker consults it once per decoded request and acts on
-//! the resulting [`FaultAction`]: sleep (artificial backend latency),
+//! by tests; the shard draws it once per request at dispatch, and a
+//! request with any action set goes to a worker, which acts on the
+//! resulting [`FaultAction`]: sleep (artificial backend latency),
 //! drop the connection without responding (a mid-request crash as seen
 //! by the client), panic inside the request path (exercising the
 //! worker-supervision `catch_unwind`), or a combination. All randomness
@@ -79,7 +80,7 @@ impl FaultAction {
     };
 }
 
-/// A shared, seeded fault source. One per server; workers call
+/// A shared, seeded fault source. One per server; shards call
 /// [`FaultInjector::on_request`] under an internal lock (the chaos
 /// path is not the hot path, so a mutex is fine).
 pub struct FaultInjector {

@@ -10,6 +10,7 @@
 //!   [`spq_graph::backend::Backend`] trait, with a differential
 //!   self-check against the Dijkstra baseline gating startup.
 //! * [`server`] — a TCP service speaking the [`protocol`] wire format:
+//!   epoll shards that answer cached distances themselves, in front of
 //!   a fixed worker pool where every worker owns one reusable query
 //!   workspace per backend (hot paths stay allocation-free), request
 //!   batching that routes dense distance batches to CH's bucket-based

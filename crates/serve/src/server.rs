@@ -16,8 +16,15 @@
 //!   frame parsing, and a per-connection write queue. Clients may
 //!   **pipeline** requests (several frames in flight on one
 //!   connection, up to [`ServerConfig::pipeline_depth`]); responses are
-//!   sequenced and flushed strictly in request order. Parsed frames are
-//!   dispatched to a **bounded** work queue; past the high-water mark
+//!   sequenced and flushed strictly in request order. The shard decodes
+//!   each frame once and answers a `DISTANCE` whose answer is already
+//!   in the distance cache itself, in the same service pass: no work
+//!   queue push, no worker wakeup, no completion message. The shard
+//!   pins the current epoch by the workers' rule (re-checked per
+//!   frame), so a hit never serves a superseded epoch. Every other
+//!   frame — cache misses, the other query ops, control ops, errors,
+//!   quarantined backends, injected faults — is dispatched to a
+//!   **bounded** work queue; past the high-water mark
 //!   ([`ServerConfig::max_pending`]) a request is answered with one
 //!   `BUSY` frame in its response slot — load is shed per request
 //!   instead of growing an unbounded queue. A peer that stalls
@@ -70,12 +77,17 @@
 //!   a short hard-stop window, and [`Server::join`] returns with every
 //!   thread joined.
 //!
-//! Per-request flow: parse (shard) → dispatch → fault-injection hook
-//! (tests only) → resolve backend (wire id, degraded alias, or
-//! quarantine failover) → consult the sharded epoch-keyed distance
-//! cache (DISTANCE only) → run the session under its budget → cache +
-//! record latency → sequence the response back through the owning
-//! shard. Dense DISTANCES batches reach the CH batch kernel through the
+//! Per-request flow: parse and decode (shard) → fault-injection hook
+//! (tests only; drawn once, carried with the request) → for a
+//! `DISTANCE` on a healthy, in-range backend with no injected fault, a
+//! lookup in the sharded epoch-keyed distance cache under the shard's
+//! pinned epoch; a hit is recorded and sequenced straight into the
+//! connection's response slots. Everything else goes to a worker:
+//! resolve backend (wire id, degraded alias, or quarantine failover) →
+//! consult the cache (DISTANCE only, unless the shard already missed)
+//! → run the session under its budget → cache + record latency →
+//! sequence the response back through the owning shard. Dense
+//! DISTANCES batches reach the CH batch kernel through the
 //! `Session::distances` override.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -96,7 +108,7 @@ use crate::audit::{self, AuditConfig};
 use crate::cache::DistanceCache;
 use crate::epoch::{EpochRegistry, EpochState, ReloadFactory, ReloadSpec};
 use crate::eventloop::{Event, Poller, Waker};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultAction, FaultInjector};
 use crate::protocol::{self, Request};
 use crate::stats::{wire_slot, Op, ServerStats, WIRE_NAMES, WIRE_SLOTS};
 use crate::sync::lock_unpoisoned;
@@ -121,10 +133,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Legacy knob from the thread-per-connection server; the event
-    /// loop waits on readiness instead of read timeouts. Retained so
-    /// existing configs keep compiling.
-    pub read_timeout: Duration,
     /// Parsed requests waiting for a worker beyond which new ones are
     /// answered with BUSY.
     pub max_pending: usize,
@@ -198,7 +206,6 @@ impl Default for ServerConfig {
             pipeline_depth: 32,
             cache_capacity: 1 << 16,
             cache_shards: 16,
-            read_timeout: Duration::from_millis(50),
             max_pending: 64,
             write_timeout: Duration::from_secs(2),
             stall_timeout: Duration::from_secs(2),
@@ -273,7 +280,7 @@ pub fn take_sighup() -> bool {
     SIGHUP_RELOAD.swap(false, Ordering::SeqCst)
 }
 
-/// One parsed request travelling from a shard to a worker.
+/// One decoded request travelling from a shard to a worker.
 struct WorkItem {
     /// Index of the shard that owns the connection.
     shard: usize,
@@ -281,8 +288,14 @@ struct WorkItem {
     token: u64,
     /// Position of this request in its connection's response order.
     seq: u64,
-    /// The frame payload (without the length prefix).
-    payload: Vec<u8>,
+    /// The shard's decode of the frame (the error is answered by the
+    /// worker, through the same accounting as every request).
+    request: Result<Request, String>,
+    /// The shard already looked this DISTANCE up in the cache and
+    /// missed: the worker goes straight to the session.
+    cache_missed: bool,
+    /// The fault-injection action drawn for this request at dispatch.
+    fault: FaultAction,
 }
 
 /// What a worker hands back for one [`WorkItem`].
@@ -375,7 +388,6 @@ struct WorkerCtx {
     stats: Arc<ServerStats>,
     cache: Arc<DistanceCache>,
     registry: Arc<EpochRegistry>,
-    fault: Option<Arc<FaultInjector>>,
     reload_timeout: Duration,
     has_reload_source: bool,
     /// Whether quarantined wire ids fail over down the degradation
@@ -474,6 +486,9 @@ impl Server {
                 wbuf_cap: cfg.wbuf_cap.max(4096),
                 rbuf_cap: cfg.max_frame_len.min(protocol::MAX_FRAME) + 4 + 64 * 1024,
                 mem_budget: cfg.mem_budget,
+                registry: Arc::clone(&registry),
+                cache: Arc::clone(&cache),
+                fault: cfg.fault.clone(),
             };
             let handles = Arc::clone(&handles);
             let work = Arc::clone(&work);
@@ -496,7 +511,6 @@ impl Server {
                 stats: Arc::clone(&stats),
                 cache: Arc::clone(&cache),
                 registry: Arc::clone(&registry),
-                fault: cfg.fault.clone(),
                 reload_timeout: cfg.reload_timeout,
                 has_reload_source,
                 failover: cfg.audit.as_ref().map_or(true, |a| a.failover),
@@ -900,6 +914,12 @@ struct ShardCtx {
     /// Global byte budget (0 = unlimited); checked against
     /// `stats.mem_used`.
     mem_budget: usize,
+    /// Where the shard pins its epoch for the cache fast path.
+    registry: Arc<EpochRegistry>,
+    /// The distance cache the fast path answers from.
+    cache: Arc<DistanceCache>,
+    /// Fault-injection hook, drawn once per request at dispatch.
+    fault: Option<Arc<FaultInjector>>,
 }
 
 /// Per-connection state owned by exactly one shard.
@@ -1007,13 +1027,61 @@ fn flush_ready(conn: &mut Conn) {
     }
 }
 
-/// Parses complete frames out of the read buffer and dispatches them,
-/// shedding with BUSY when the work queue is full.
+/// Re-pins `pinned` when a reload has published a newer epoch — the
+/// rule workers apply before every request.
+fn repin(pinned: &mut Arc<EpochState>, registry: &EpochRegistry) {
+    if registry.epoch() != pinned.epoch {
+        *pinned = registry.current();
+    }
+}
+
+/// The shard's fast path: answers a `DISTANCE` from the cache when
+/// every guard holds — no injected fault, a wire id served by a healthy
+/// position of the pinned epoch, both vertices in range — and the
+/// lookup hits. `Err(missed)` hands the request to the pool; `missed`
+/// says the lookup already ran, so the worker must not repeat it.
+fn answer_inline(
+    request: &Result<Request, String>,
+    fault: FaultAction,
+    pinned: &mut Arc<EpochState>,
+    ctx: &ShardCtx,
+) -> Result<Vec<u8>, bool> {
+    repin(pinned, &ctx.registry);
+    let Ok(Request::Distance { backend, s, t, .. }) = *request else {
+        return Err(false);
+    };
+    let state = &**pinned;
+    let n = state.engine.net().num_nodes() as u32;
+    let healthy = state
+        .engine
+        .position_of_wire(backend)
+        .is_some_and(|pos| !state.is_quarantined(pos));
+    if fault != FaultAction::NONE || !healthy || s >= n || t >= n {
+        return Err(false);
+    }
+    let t0 = Instant::now();
+    let Some(d) = ctx.cache.get(state.epoch, backend, s, t) else {
+        return Err(true);
+    };
+    ctx.stats.record(
+        wire_slot(backend),
+        Op::Distance,
+        t0.elapsed().as_nanos() as u64,
+        1,
+    );
+    ctx.stats.inline_hits.fetch_add(1, Ordering::Relaxed);
+    Ok(protocol::encode_distance_response(d))
+}
+
+/// Parses complete frames out of the read buffer and answers cache hits
+/// in place (see [`answer_inline`]); the rest are dispatched to the
+/// work queue, shedding with BUSY when it is full.
 fn parse_and_dispatch(
     conn: &mut Conn,
     shard_id: usize,
     work: &WorkQueue,
     ctx: &ShardCtx,
+    pinned: &mut Arc<EpochState>,
     stopping_now: bool,
 ) {
     // Once shutdown is requested no new work is started; buffered
@@ -1047,19 +1115,32 @@ fn parse_and_dispatch(
         if avail.len() < 4 + len {
             break;
         }
-        let payload = avail[4..4 + len].to_vec();
+        let request = Request::decode(&avail[4..4 + len]);
         conn.rstart += 4 + len;
         ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        if conn.inflight > 0 {
+        if conn.inflight + conn.ready.len() > 0 {
             ctx.stats.pipelined_frames.fetch_add(1, Ordering::Relaxed);
         }
+        let fault = ctx
+            .fault
+            .as_ref()
+            .map_or(FaultAction::NONE, |f| f.on_request());
+        let cache_missed = match answer_inline(&request, fault, pinned, ctx) {
+            Ok(response) => {
+                conn.ready.insert(seq, response);
+                continue;
+            }
+            Err(missed) => missed,
+        };
         let item = WorkItem {
             shard: shard_id,
             token: conn.token,
             seq,
-            payload,
+            request,
+            cache_missed,
+            fault,
         };
         if work.try_push(item) {
             conn.inflight += 1;
@@ -1161,6 +1242,8 @@ struct Shard {
     handles: Arc<Vec<ShardHandle>>,
     work: Arc<WorkQueue>,
     ctx: ShardCtx,
+    /// The epoch this shard answers cache hits under (see [`repin`]).
+    pinned: Arc<EpochState>,
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
     free: Vec<usize>,
@@ -1188,6 +1271,7 @@ impl Shard {
             poller,
             handles,
             work,
+            pinned: ctx.registry.current(),
             ctx,
             conns: Vec::new(),
             gens: Vec::new(),
@@ -1204,6 +1288,9 @@ impl Shard {
             let _ = self.poller.wait(&mut events, 25);
             self.handles[self.id].waker.drain();
             let stopping_now = stopping(&self.ctx.shutdown);
+            // Per pass as well as per frame, so an idle shard lets go
+            // of a superseded epoch's engine as promptly as a worker.
+            repin(&mut self.pinned, &self.ctx.registry);
 
             // Ingress: adopted connections and finished requests.
             let msgs: VecDeque<ShardMsg> = {
@@ -1223,7 +1310,6 @@ impl Shard {
 
             // Readiness: pull bytes in, note hangups; all the actual
             // frame work happens in the service pass below.
-            let mut any_read = false;
             for ev in &events {
                 if ev.token == WAKER_TOKEN {
                     continue;
@@ -1241,12 +1327,10 @@ impl Shard {
                     continue;
                 }
                 if ev.readable && on_read(conn) {
-                    any_read = true;
                     // New bytes restart the mid-frame stall clock.
                     conn.partial_since = None;
                 }
             }
-            let _ = any_read;
 
             // Service pass: parse, dispatch, flush, sequence, reap.
             let now = Instant::now();
@@ -1262,8 +1346,15 @@ impl Shard {
                     let Some(conn) = self.conns[idx].as_mut() else {
                         continue;
                     };
-                    service_conn(conn, self.id, &self.poller, &self.work, &self.ctx, now)
-                        || should_close(conn, &self.ctx, now, stopping_now)
+                    service_conn(
+                        conn,
+                        self.id,
+                        &self.poller,
+                        &self.work,
+                        &self.ctx,
+                        &mut self.pinned,
+                        now,
+                    ) || should_close(conn, &self.ctx, now, stopping_now)
                         || force_expired
                 };
                 if close {
@@ -1352,13 +1443,26 @@ fn service_conn(
     poller: &Poller,
     work: &WorkQueue,
     ctx: &ShardCtx,
+    pinned: &mut Arc<EpochState>,
     now: Instant,
 ) -> bool {
     let stopping_now = stopping(&ctx.shutdown);
-    parse_and_dispatch(conn, shard_id, work, ctx, stopping_now);
-    flush_ready(conn);
-    if !try_write(conn) || conn.dead {
-        return true;
+    loop {
+        let parsed_before = conn.next_seq;
+        parse_and_dispatch(conn, shard_id, work, ctx, pinned, stopping_now);
+        flush_ready(conn);
+        if !try_write(conn) || conn.dead {
+            return true;
+        }
+        // Inline answers fill the pipeline with no worker completion
+        // to wake this shard again: while parsing progressed and a
+        // complete frame is still buffered, flushing may have freed
+        // room for it, so go again. Each round consumes a frame of the
+        // finite read buffer; `pipeline_depth` and `wbuf_cap` stop it
+        // early.
+        if conn.next_seq == parsed_before || !has_full_frame(conn, ctx.max_frame) {
+            break;
+        }
     }
     // Track the trailing partial frame for the stall timeout. A
     // complete frame waiting on pipeline backpressure is not a stall,
@@ -1505,11 +1609,15 @@ fn worker_loop(
                 carry = Some(item);
                 continue 'epochs;
             }
-            let action = match &ctx.fault {
-                Some(f) => f.on_request(),
-                None => crate::fault::FaultAction::NONE,
-            };
-            if let Some(delay) = action.delay {
+            let WorkItem {
+                shard,
+                token,
+                seq,
+                request,
+                cache_missed,
+                fault,
+            } = item;
+            if let Some(delay) = fault.delay {
                 std::thread::sleep(delay);
             }
             // The supervision shell: a panic inside the request path —
@@ -1518,12 +1626,13 @@ fn worker_loop(
             // it, rebuilds its sessions (the panicking one may be
             // mid-query garbage), and keeps serving.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if action.panic {
+                if fault.panic {
                     // Stands in for a defect in a backend's query code.
                     panic!("injected fault: panic while serving a request");
                 }
                 handle_request(
-                    &item.payload,
+                    request,
+                    cache_missed,
                     &state,
                     &mut sessions,
                     fallback,
@@ -1533,7 +1642,7 @@ fn worker_loop(
             }));
             match outcome {
                 Ok(response) => {
-                    let completion = if action.drop_connection {
+                    let completion = if fault.drop_connection {
                         // Injected mid-request connection loss: the
                         // query ran (and possibly warmed the cache),
                         // but the peer never hears back.
@@ -1541,17 +1650,17 @@ fn worker_loop(
                     } else {
                         Completion::Respond(response)
                     };
-                    handles[item.shard].send(ShardMsg::Done {
-                        token: item.token,
-                        seq: item.seq,
+                    handles[shard].send(ShardMsg::Done {
+                        token,
+                        seq,
                         completion,
                     });
                 }
                 Err(_) => {
                     ctx.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    handles[item.shard].send(ShardMsg::Done {
-                        token: item.token,
-                        seq: item.seq,
+                    handles[shard].send(ShardMsg::Done {
+                        token,
+                        seq,
                         completion: Completion::Close,
                     });
                     let now = Instant::now();
@@ -1655,7 +1764,8 @@ fn resolve_serving(
 }
 
 fn handle_request(
-    payload: &[u8],
+    request: Result<Request, String>,
+    cache_missed: bool,
     state: &EpochState,
     sessions: &mut [Box<dyn Session + '_>],
     fallback: usize,
@@ -1663,7 +1773,7 @@ fn handle_request(
     ctx: &WorkerCtx,
 ) -> Vec<u8> {
     let stats = &ctx.stats;
-    let request = match Request::decode(payload) {
+    let request = match request {
         Ok(r) => r,
         Err(msg) => {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -1726,7 +1836,12 @@ fn handle_request(
                 return resp;
             }
             let t0 = Instant::now();
-            let d = match ctx.cache.get(state.epoch, backend, s, t) {
+            let cached = if cache_missed {
+                None
+            } else {
+                ctx.cache.get(state.epoch, backend, s, t)
+            };
+            let d = match cached {
                 Some(cached) => cached,
                 None => {
                     sessions[pos].set_budget(request_budget(deadline_ms, ctx));

@@ -200,9 +200,12 @@ pub struct ServerStats {
     /// Currently open connections (gauge: incremented at registration,
     /// decremented at close).
     pub open_connections: AtomicU64,
-    /// Frames dispatched while the same connection already had at least
-    /// one request in flight — the wire-protocol pipelining counter.
+    /// Frames parsed while the same connection already owed at least
+    /// one response — the wire-protocol pipelining counter.
     pub pipelined_frames: AtomicU64,
+    /// DISTANCE requests answered from the cache on the shard thread,
+    /// without a worker round-trip.
+    pub inline_hits: AtomicU64,
     /// Requests answered with BUSY past the work-queue high-water mark.
     pub shed: AtomicU64,
     /// Connections dropped for stalling mid-frame or timing out a write.
@@ -266,6 +269,7 @@ impl ServerStats {
             shards: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             pipelined_frames: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             client_timeouts: AtomicU64::new(0),
             deadlines_exceeded: AtomicU64::new(0),
@@ -333,10 +337,11 @@ impl ServerStats {
         );
         let _ = writeln!(
             out,
-            "serve: shards={} open_connections={} pipelined_frames={}",
+            "serve: shards={} open_connections={} pipelined_frames={} inline_hits={}",
             self.shards.load(Ordering::Relaxed),
             self.open_connections.load(Ordering::Relaxed),
             self.pipelined_frames.load(Ordering::Relaxed),
+            self.inline_hits.load(Ordering::Relaxed),
         );
         let _ = writeln!(
             out,
@@ -498,6 +503,7 @@ mod tests {
         stats.shards.store(3, Ordering::Relaxed);
         stats.open_connections.fetch_add(5, Ordering::Relaxed);
         stats.pipelined_frames.fetch_add(7, Ordering::Relaxed);
+        stats.inline_hits.fetch_add(11, Ordering::Relaxed);
         stats.slow_closed.fetch_add(6, Ordering::Relaxed);
         stats.accept_emfile.fetch_add(8, Ordering::Relaxed);
         stats.accept_shed.fetch_add(9, Ordering::Relaxed);
@@ -508,6 +514,7 @@ mod tests {
         assert!(text.contains("shards=3"), "{text}");
         assert!(text.contains("open_connections=5"), "{text}");
         assert!(text.contains("pipelined_frames=7"), "{text}");
+        assert!(text.contains("inline_hits=11"), "{text}");
         assert!(text.contains("shed=2"), "{text}");
         assert!(text.contains("deadlines_exceeded=1"), "{text}");
         assert!(text.contains("client_timeouts=0"), "{text}");
